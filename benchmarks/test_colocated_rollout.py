@@ -8,8 +8,8 @@ equal total size (2 workers) on the same workload ingredients:
   idle).
 * **dedicated** — the classic split: one worker serves the interactive
   trace, the other decodes the GRPO rollout batch, nothing shared.
-* **co-located** — both workers serve the interactive trace while
-  :class:`~repro.rl.serving_backend.ServingRolloutBackend` rides the
+* **co-located** — both workers serve the interactive trace while a
+  FIFO :class:`~repro.longtail.scheduler.RolloutScheduler` rides the
   SAME pool with the rollout batch as group-tagged BATCH-class
   requests; :class:`~repro.serving.dispatch.SloPreemption` parks
   rollouts whenever an interactive arrival needs a slot and resumes
@@ -32,7 +32,7 @@ from _common import format_table, trained_substrate, write_result
 
 import numpy as np
 
-from repro.rl import ServingRolloutBackend
+from repro.longtail import RolloutScheduler, SchedulerMode
 from repro.serving import (
     INTERACTIVE,
     LeastLoadedDispatch,
@@ -128,7 +128,7 @@ def test_colocated_rollout(benchmark):
         inter_pool = _pool(target, drafter, 1)
         inter_report = inter_pool.run(_interactive_trace(vocab_size))
         rollout_pool = _pool(target, drafter, 1)
-        backend = ServingRolloutBackend(rollout_pool)
+        backend = RolloutScheduler(rollout_pool, mode=SchedulerMode.FIFO)
         result = backend.generate(
             target, prompts, ROLLOUT_TOKENS, TEMPERATURE,
             np.random.default_rng(ROLLOUT_SEED),
@@ -147,7 +147,7 @@ def test_colocated_rollout(benchmark):
         frontend = _pool(target, drafter, NUM_WORKERS)
         for request in _interactive_trace(vocab_size):
             frontend.submit(request)
-        backend = ServingRolloutBackend(frontend)
+        backend = RolloutScheduler(frontend, mode=SchedulerMode.FIFO)
         result = backend.generate(
             target, prompts, ROLLOUT_TOKENS, TEMPERATURE,
             np.random.default_rng(ROLLOUT_SEED),

@@ -5,10 +5,9 @@ Two claims from the distribution-aware rollout loop
 same pool shape:
 
 * **Makespan** — a straggler-heavy segmented GRPO trace is rolled out
-  (a) FIFO whole-group, batch-at-a-time (byte-for-byte the
-  :class:`~repro.rl.serving_backend.ServingRolloutBackend` behaviour)
-  and (b) tail-first with cross-batch pipelining through the
-  :class:`~repro.longtail.scheduler.RolloutScheduler`.  Scheduling only
+  through the :class:`~repro.longtail.scheduler.RolloutScheduler`
+  (a) FIFO whole-group, batch-at-a-time (the co-located loop's mode)
+  and (b) tail-first with cross-batch pipelining.  Scheduling only
   reorders work: per-request outputs are byte-identical, and the
   pipelined run finishes the same three batches in strictly fewer pool
   ticks because batch *k+1*'s members decode in the slots batch *k*'s

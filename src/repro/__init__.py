@@ -37,11 +37,9 @@ from repro.drafter import (
 )
 from repro.llm import TinyLM, TinyLMConfig, Vocabulary, generate
 from repro.rl import (
-    AdaptiveSpeculativeRollout,
     ColocatedLoop,
     RlConfig,
     RlTrainer,
-    ServingRolloutBackend,
     SpeculativeRollout,
     VanillaRollout,
 )
@@ -104,8 +102,6 @@ __all__ = [
     "RlConfig",
     "VanillaRollout",
     "SpeculativeRollout",
-    "AdaptiveSpeculativeRollout",
-    "ServingRolloutBackend",
     "ColocatedLoop",
     "ServingEngine",
     "ServingRequest",

@@ -1,11 +1,14 @@
-"""Distribution-aware rollout scheduling over the shared serving pool.
+"""Rollouts on the shared serving pool, FIFO or distribution-aware.
 
-:class:`~repro.rl.serving_backend.ServingRolloutBackend` submits a GRPO
-rollout batch whole: every member arrives at once, workers admit in
-FIFO order, and the batch's makespan is set by whichever straggler was
+:class:`RolloutScheduler` is the serving-pool rollout backend: GRPO
+rollout batches ride a live :class:`~repro.serving.frontend.
+ServingEngine` as group-tagged, seeded BATCH-class requests on the
+*same* workers that serve online traffic.  In FIFO mode a batch is
+submitted whole: every member arrives at once, workers admit in FIFO
+order, and the batch's makespan is set by whichever straggler was
 admitted *last* — the worst case the paper's long-tail analysis warns
-about.  :class:`RolloutScheduler` closes the gap with two moves the
-long-tail papers argue for (DARTS; "Beat the Long-Tail"):
+about.  TAIL_FIRST mode closes the gap with two moves the long-tail
+papers argue for (DARTS; "Beat the Long-Tail"):
 
 * **tail-first admission** — GRPO groups are decomposed and members
   staged longest-predicted-first (the :class:`~repro.longtail.
@@ -28,42 +31,85 @@ pipelined run of the same batches produce byte-identical per-request
 outputs; only the makespan moves.  (:class:`SchedulerMode` exists so
 the FIFO baseline runs through the *same* code path — same seed draws,
 same id allocation — making that comparison airtight.)
+
+A note on launch accounting: a result's ``target_steps`` is the
+POOL-WIDE launch delta over the collect window — decode cycles spent
+on interactive neighbours during co-location are included, because
+they genuinely share the batched forwards the rollouts ride.  Do not
+compare it 1:1 against :class:`~repro.rl.rollout_backends.
+SpeculativeRollout`, whose launches serve rollouts alone.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    TYPE_CHECKING,
+)
 
 import numpy as np
 
+from repro.drafter.base import Drafter
 from repro.errors import ConfigError, SchedulingError, ServingError
 from repro.llm.vocab import BOS_ID, EOS_ID
 from repro.longtail.predictor import LengthPredictor
-from repro.rl.rollout_backends import RolloutResult
-from repro.rl.serving_backend import group_tags
+from repro.rl.rollout_backends import RolloutBackend, RolloutResult
 from repro.serving.frontend import ServingEngine
-from repro.serving.request import (
-    BATCH,
-    RESOLVED_STATES,
-    ServingRequest,
-    SloClass,
-)
+from repro.serving.request import BATCH, RESOLVED_STATES, ServingRequest
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.llm.model import TinyLM
     from repro.rl.trainer import RlStepReport, RlTrainer
 
 
+def group_tags(
+    prompts: Sequence[Sequence[int]],
+    group_size: Optional[int] = None,
+) -> List[int]:
+    """Group indices for a GRPO-expanded prompt list.
+
+    GRPO expands each distinct prompt ``group_size`` times in
+    group-major order (:meth:`~repro.workload.prompts.PromptBatch.
+    expanded`).  When ``group_size`` is given the tags are exact chunk
+    ordinals; when omitted, runs of identical consecutive prompts are
+    taken as the groups — correct unless two *adjacent* groups sampled
+    the same prompt, in which case they merge (pass the real shape
+    when you have it).
+    """
+    if group_size is not None:
+        if group_size < 1:
+            raise ConfigError(
+                f"group_size must be >= 1, got {group_size}"
+            )
+        if len(prompts) % group_size != 0:
+            raise ConfigError(
+                f"{len(prompts)} prompts do not split into groups "
+                f"of {group_size}"
+            )
+        return [index // group_size for index in range(len(prompts))]
+    tags: List[int] = []
+    tag = 0
+    for index, prompt in enumerate(prompts):
+        if index > 0 and list(prompt) != list(prompts[index - 1]):
+            tag += 1
+        tags.append(tag)
+    return tags
+
+
 class SchedulerMode(enum.Enum):
     """How staged rollout requests reach the pool.
 
-    FIFO is the whole-group baseline (everything submitted at once, no
-    reorder, no cross-batch overlap — byte-for-byte the behaviour of
-    :class:`~repro.rl.serving_backend.ServingRolloutBackend`);
-    TAIL_FIRST stages members longest-predicted-first and releases
-    batch k+1 into capacity batch k's stragglers free up.
+    FIFO is the whole-group baseline: everything submitted at once, in
+    prompt order, no reorder, no cross-batch overlap.  TAIL_FIRST
+    stages members longest-predicted-first and releases batch k+1 into
+    capacity batch k's stragglers free up.
     """
 
     FIFO = "fifo"
@@ -72,28 +118,19 @@ class SchedulerMode(enum.Enum):
 
 @dataclass
 class _StagedRequest:
-    """One rollout member staged for release.
-
-    ``order`` is the member's index in its batch's original prompt
-    order (result assembly key); ``predicted`` the predictor's length
-    estimate the tail-first sort runs on.
-    """
+    """One rollout member staged for release (tail-first sorts on its
+    request's ``predicted_length``)."""
 
     request: ServingRequest
     batch_id: int
-    order: int
-    predicted: int
 
 
 @dataclass
 class _Batch:
-    """Book-keeping for one submitted rollout batch."""
+    """Book-keeping for one submitted, uncollected rollout batch."""
 
-    batch_id: int
     prompts: List[List[int]]  # client token space (no BOS)
     request_ids: List[int]  # in original prompt order
-    max_new_tokens: int
-    collected: bool = False
 
 
 @dataclass
@@ -129,22 +166,30 @@ class SchedulerStats:
         }
 
 
-class RolloutScheduler:
-    """Tail-first, pipelined admission of GRPO rollouts to a pool.
+class RolloutScheduler(RolloutBackend):
+    """The serving-pool rollout backend: GRPO rollouts as pool traffic.
+
+    As a :class:`~repro.rl.rollout_backends.RolloutBackend`,
+    :meth:`generate` is ``collect(submit_batch(...))``: an
+    :class:`~repro.rl.trainer.RlTrainer` built over a scheduler rolls
+    out on the pool in-line, and :func:`run_pipelined_steps` drives the
+    split submit/collect API to overlap batches.
 
     Args:
         engine: the shared serving pool (the same object online traffic
-            rides; rollouts enter as ``slo``-class requests through the
-            standard submit path, so the urgent lane and preemption
-            policy apply to them unchanged).
+            rides; rollouts enter as BATCH-class requests — preemptible
+            background traffic — through the standard submit path, so
+            the urgent lane and preemption policy apply to them
+            unchanged).  Its target model must be the *same object* as
+            the policy the trainer mutates, so RL updates reach every
+            worker without weight shipping, and its temperature must
+            match the rollout temperature (both are validated per
+            batch).
         predictor: response-length estimator staged members are ranked
             by; a fresh default-configured one is built when omitted.
             The scheduler feeds every collected batch's observed
             lengths back, closing the estimator's loop.
-        mode: :class:`SchedulerMode` (TAIL_FIRST unless benchmarking
-            the FIFO baseline).
-        slo: SLO class rollout requests carry (BATCH — preemptible
-            background traffic).
+        mode: :class:`SchedulerMode` (FIFO submits batches whole).
         group_size: GRPO group size for exact group tagging; inferred
             from identical consecutive prompts when omitted.
         segment_of: optional prompt -> segment labeller; tagged
@@ -153,23 +198,19 @@ class RolloutScheduler:
         max_ticks: safety bound on pool ticks per collect.
     """
 
+    name = "serving-pool"
+
     def __init__(
         self,
         engine: ServingEngine,
         predictor: Optional[LengthPredictor] = None,
         mode: SchedulerMode = SchedulerMode.TAIL_FIRST,
-        slo: SloClass = BATCH,
         group_size: Optional[int] = None,
         segment_of: Optional[
             Callable[[Sequence[int]], Optional[str]]
         ] = None,
         max_ticks: int = 1_000_000,
     ) -> None:
-        if slo.deadline is not None:
-            raise ConfigError(
-                "rollout requests must not carry a deadline: an "
-                "expired rollout would silently corrupt the GRPO group"
-            )
         if group_size is not None and group_size < 1:
             raise ConfigError(
                 f"group_size must be >= 1, got {group_size}"
@@ -181,14 +222,47 @@ class RolloutScheduler:
         self.engine = engine
         self.predictor = predictor or LengthPredictor()
         self.mode = mode
-        self.slo = slo
         self.group_size = group_size
         self.segment_of = segment_of
         self.max_ticks = max_ticks
         self.stats = SchedulerStats()
         self._staged: List[_StagedRequest] = []
+        #: Request ids of ``_staged``, kept in step with it.
+        self._staged_ids: Set[int] = set()
+        #: Uncollected batches, in submission (= batch id) order.
         self._batches: Dict[int, _Batch] = {}
         self._next_batch_id = 0
+
+    # -- the RolloutBackend surface ----------------------------------------
+
+    @property
+    def drafter(self) -> Drafter:
+        """The pool's current drafter (worker 0's view of the roll)."""
+        return self.engine.workers[0].engine.drafter
+
+    def swap_drafter(self, drafter: Drafter) -> None:
+        """Roll refreshed drafter weights across the shared pool.
+
+        The pool deploys with zero downtime: one worker per tick, each
+        at its own cycle boundary, in-flight interactive requests and
+        parked rollouts untouched.
+        """
+        self.engine.swap_drafter(drafter)
+
+    def generate(
+        self,
+        policy: "TinyLM",
+        prompts: Sequence[Sequence[int]],
+        max_new_tokens: int,
+        temperature: float,
+        rng: np.random.Generator,
+    ) -> RolloutResult:
+        """Roll one batch out on the pool and wait for it."""
+        return self.collect(
+            self.submit_batch(
+                policy, prompts, max_new_tokens, temperature, rng
+            )
+        )
 
     # -- submission --------------------------------------------------------
 
@@ -203,12 +277,10 @@ class RolloutScheduler:
         """Stage one GRPO rollout batch; returns its batch id.
 
         Seeds are drawn from ``rng`` in **prompt order** before any
-        staging decision — exactly the draw
-        :class:`~repro.rl.serving_backend.ServingRolloutBackend` makes
-        — so the scheduler's reordering cannot touch any request's
-        random stream, and a caller alternating ``sample_prompts`` /
-        ``submit_batch`` consumes the trainer RNG in the same order as
-        the in-line loop.
+        staging decision, so the scheduler's reordering cannot touch
+        any request's random stream, and a caller alternating
+        ``sample_prompts`` / ``submit_batch`` consumes the trainer RNG
+        in the same order as the in-line loop.
 
         In FIFO mode the whole batch is submitted to the pool
         immediately (whole-group baseline); in TAIL_FIRST mode members
@@ -242,12 +314,9 @@ class RolloutScheduler:
         self._next_batch_id += 1
         prompt_lists = [[int(t) for t in p] for p in prompts]
         staged: List[_StagedRequest] = []
-        for order, (prompt, seed, request_id, tag) in enumerate(
-            zip(prompt_lists, seeds, ids, tags)
+        for prompt, seed, request_id, tag in zip(
+            prompt_lists, seeds, ids, tags
         ):
-            predicted = self.predictor.predict(
-                prompt, cap=max_new_tokens
-            )
             staged.append(
                 _StagedRequest(
                     request=ServingRequest(
@@ -255,8 +324,10 @@ class RolloutScheduler:
                         prompt=prompt,
                         max_new_tokens=max_new_tokens,
                         arrival_time=self.engine.clock.now,
-                        slo=self.slo,
-                        predicted_length=predicted,
+                        slo=BATCH,
+                        predicted_length=self.predictor.predict(
+                            prompt, cap=max_new_tokens
+                        ),
                         seed=int(seed),
                         group=ids.start + tag,
                         segment=(
@@ -266,26 +337,28 @@ class RolloutScheduler:
                         ),
                     ),
                     batch_id=batch_id,
-                    order=order,
-                    predicted=predicted,
                 )
             )
         self._batches[batch_id] = _Batch(
-            batch_id=batch_id,
-            prompts=prompt_lists,
-            request_ids=list(ids),
-            max_new_tokens=max_new_tokens,
+            prompts=prompt_lists, request_ids=list(ids)
         )
         self.stats.batches_submitted += 1
         if self.mode is SchedulerMode.FIFO:
             # Whole-group baseline: everything arrives at once, in
-            # prompt order, exactly like ServingRolloutBackend.
+            # prompt order.
             for item in staged:
                 self._release(item)
         else:
             # Tail first: stragglers claim slots before short members.
-            staged.sort(key=lambda s: (-s.predicted, s.request.request_id))
+            staged.sort(
+                key=lambda s: (
+                    -s.request.predicted_length, s.request.request_id
+                )
+            )
             self._staged.extend(staged)
+            self._staged_ids.update(
+                item.request.request_id for item in staged
+            )
             self.pump()
         return batch_id
 
@@ -310,7 +383,9 @@ class RolloutScheduler:
         )
         released = 0
         while self._staged and released < headroom:
-            self._release(self._staged.pop(0))
+            item = self._staged.pop(0)
+            self._staged_ids.discard(item.request.request_id)
+            self._release(item)
             released += 1
         return released
 
@@ -319,10 +394,8 @@ class RolloutScheduler:
         item.request.arrival_time = self.engine.clock.now
         self.engine.submit(item.request)
         self.stats.requests_released += 1
-        if any(
-            batch.batch_id < item.batch_id and not batch.collected
-            for batch in self._batches.values()
-        ):
+        # The oldest uncollected batch comes first in ``_batches``.
+        if next(iter(self._batches)) < item.batch_id:
             self.stats.pipelined_releases += 1
 
     # -- delivery ----------------------------------------------------------
@@ -331,18 +404,19 @@ class RolloutScheduler:
         """Tick the pool until ``batch_id`` is complete; deliver it.
 
         Group-complete delivery in original prompt order — the trainer
-        sees exactly what the FIFO backend would have handed it (byte-
+        sees exactly what FIFO mode would have handed it (byte-
         identical responses; only the makespan moved).  Observed
         response lengths are fed back to the predictor before
-        returning, so the next batch's staging uses them.
+        returning, so the next batch's staging uses them.  The batch's
+        bookkeeping is dropped: a batch can be collected once.
         """
         batch = self._batches.get(batch_id)
         if batch is None:
+            if 0 <= batch_id < self._next_batch_id:
+                raise SchedulingError(
+                    f"batch {batch_id} was already collected"
+                )
             raise SchedulingError(f"unknown batch id {batch_id}")
-        if batch.collected:
-            raise SchedulingError(
-                f"batch {batch_id} was already collected"
-            )
         engine = self.engine
         steps_before = sum(
             w.engine.target_steps for w in engine.workers
@@ -350,7 +424,7 @@ class RolloutScheduler:
         ticks = 0
         while any(
             # Staged-first: an unreleased member has no pool record yet.
-            i in self._staged_ids()
+            i in self._staged_ids
             or engine.records[i].state not in RESOLVED_STATES
             for i in batch.request_ids
         ):
@@ -363,7 +437,7 @@ class RolloutScheduler:
             engine.tick()
             ticks += 1
         self.stats.collect_ticks += ticks
-        batch.collected = True
+        del self._batches[batch_id]
         self.stats.batches_collected += 1
 
         records = [engine.records[i] for i in batch.request_ids]
@@ -390,39 +464,27 @@ class RolloutScheduler:
                 for r in records
             ],
             responses=responses,
+            # EOS is only ever committed as the final token, so the
+            # tail token is exactly the engine's slot.done flag.
             finished=[
                 bool(r) and r[-1] == EOS_ID for r in responses
             ],
             target_steps=pool_steps,
             stats={
-                "pool_target_steps": float(pool_steps),
-                "collect_ticks": float(ticks),
+                "pool_ticks": float(ticks),
                 "preemptions": float(
                     sum(r.preemptions for r in records)
                 ),
                 "rollout_tokens": float(
                     sum(len(r) for r in responses)
                 ),
-                "pipelined_releases": float(
-                    self.stats.pipelined_releases
-                ),
             },
-        )
-
-    def _staged_ids(self) -> frozenset:
-        """Request ids still held back by the scheduler."""
-        return frozenset(
-            item.request.request_id for item in self._staged
         )
 
     @property
     def pending_batches(self) -> List[int]:
         """Uncollected batch ids in submission order."""
-        return sorted(
-            batch_id
-            for batch_id, batch in self._batches.items()
-            if not batch.collected
-        )
+        return list(self._batches)
 
 
 def run_pipelined_steps(

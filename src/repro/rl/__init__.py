@@ -10,9 +10,11 @@ policy-gradient updates:
 * :mod:`repro.rl.algorithms` — GRPO / RLOO / REINFORCE / REINFORCE++ /
   DAPO advantage estimators;
 * :mod:`repro.rl.rollout_backends` — vanilla vs speculative rollout (the
-  seam where TLT plugs in losslessly);
-* :mod:`repro.rl.serving_backend` — rollouts as BATCH-class traffic on
-  the shared online serving pool (the closed serving ↔ RL loop);
+  seam where TLT plugs in losslessly; one speculative backend covers
+  static and adaptive SD);
+* :mod:`repro.rl.serving_backend` — the closed serving ↔ RL loop over
+  the shared online serving pool, whose rollout backend is
+  :class:`~repro.longtail.scheduler.RolloutScheduler`;
 * :mod:`repro.rl.trainer` — the end-to-end RL training loop.
 """
 
@@ -26,19 +28,12 @@ from repro.rl.algorithms import (
 )
 from repro.rl.kl import kl_estimate, kl_grad_coef
 from repro.rl.rollout_backends import (
-    AdaptiveSpeculativeRollout,
-    DraftedRolloutBackend,
     RolloutBackend,
     RolloutResult,
     SpeculativeRollout,
     VanillaRollout,
-    result_from_slots,
 )
-from repro.rl.serving_backend import (
-    ColocatedLoop,
-    ServingRolloutBackend,
-    group_tags,
-)
+from repro.rl.serving_backend import ColocatedLoop
 from repro.rl.trainer import RlConfig, RlStepReport, RlTrainer
 
 __all__ = [
@@ -54,12 +49,7 @@ __all__ = [
     "RolloutResult",
     "VanillaRollout",
     "SpeculativeRollout",
-    "AdaptiveSpeculativeRollout",
-    "DraftedRolloutBackend",
-    "result_from_slots",
-    "ServingRolloutBackend",
     "ColocatedLoop",
-    "group_tags",
     "RlConfig",
     "RlStepReport",
     "RlTrainer",

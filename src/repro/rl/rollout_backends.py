@@ -1,4 +1,4 @@
-"""Rollout backends: vanilla, speculative, and adaptive-speculative.
+"""Rollout backends: vanilla and speculative.
 
 The RL trainer is backend-agnostic; swapping :class:`VanillaRollout` for
 :class:`SpeculativeRollout` is the TLT integration point.  Because the SD
@@ -7,14 +7,15 @@ engine is mathematically lossless, both backends sample responses from the
 overlap — while the speculative backend needs far fewer target-model
 forward launches.
 
-All speculative backends run the continuous-batching engine
+:class:`SpeculativeRollout` runs the continuous-batching engine
 (:class:`~repro.specdec.batch_engine.BatchedSpecDecodeEngine`): sequences
 retire individually and waiting prompts are admitted into freed slots, so
-one target launch serves every live sequence per cycle.
-:class:`AdaptiveSpeculativeRollout` additionally attaches an
+one target launch serves every live sequence per cycle.  It speculates
+either with a static strategy or under an
 :class:`~repro.rollout.adaptive.AdaptiveSdManager`, whose elastic
 threshold and BEG-MAB selector are driven by the engine's *real*
-per-cycle live-batch sizes and measured accept lengths.
+per-cycle live-batch sizes and measured accept lengths.  The serving-pool
+backend is :class:`~repro.longtail.scheduler.RolloutScheduler`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from repro.llm.generation import generate
 from repro.llm.model import TinyLM
 from repro.rollout.adaptive import AdaptiveSdConfig, AdaptiveSdManager
 from repro.specdec.batch_engine import BatchedSpecDecodeEngine
-from repro.specdec.engine import speculative_generate
 from repro.specdec.strategy import SdStrategy
 
 
@@ -80,51 +80,6 @@ class RolloutBackend(abc.ABC):
         """Generate one batch of responses."""
 
 
-class DraftedRolloutBackend(RolloutBackend):
-    """Shared surface of backends that speculate with a drafter.
-
-    Every speculative backend — per-batch engines here and the serving-
-    pool backend (:class:`~repro.rl.serving_backend.
-    ServingRolloutBackend`) — carries a drafter whose weights the spot
-    trainer refreshes between RL steps; :meth:`swap_drafter` is the
-    common hand-off point for those refreshed weights.
-    """
-
-    drafter: Drafter
-
-    def swap_drafter(self, drafter: Drafter) -> None:
-        """Adopt refreshed drafter weights for subsequent rollouts.
-
-        The RL-side counterpart of the serving pool's rolling hot swap
-        (:meth:`repro.serving.frontend.ServingEngine.swap_drafter`):
-        the spot trainer publishes a snapshot between RL steps
-        (:meth:`repro.spot.trainer.SpotTrainer.snapshot_drafter`) and
-        the next ``generate`` call speculates with it.
-        """
-        self.drafter = drafter
-
-
-def result_from_slots(
-    slots: Sequence,  # Sequence[SequenceSlot]
-    target_steps: int,
-    stats: Dict[str, float],
-) -> RolloutResult:
-    """Assemble a :class:`RolloutResult` from finished engine slots.
-
-    Shared by every backend that drains a continuous-batching engine
-    (directly, or through the serving pool's per-request records): the
-    slots arrive in request order, so prompts/responses line up with
-    the caller's prompt list.
-    """
-    return RolloutResult(
-        prompts=[slot.request.prompt for slot in slots],
-        responses=[slot.response for slot in slots],
-        finished=[slot.done for slot in slots],
-        target_steps=target_steps,
-        stats=stats,
-    )
-
-
 class VanillaRollout(RolloutBackend):
     """Plain autoregressive decoding (the VeRL-style baseline)."""
 
@@ -143,16 +98,31 @@ class VanillaRollout(RolloutBackend):
         )
 
 
-class SpeculativeRollout(DraftedRolloutBackend):
-    """Speculative decoding rollout with a (possibly adapting) drafter.
+class SpeculativeRollout(RolloutBackend):
+    """Continuous-batching speculative rollout (the TLT integration point).
+
+    With a static ``strategy`` every cycle speculates with it.  Without
+    one, an :class:`~repro.rollout.adaptive.AdaptiveSdManager` drives
+    elastic SD: the engine reports its live-batch size to the manager
+    every cycle; above the elastic activation threshold the batch
+    decodes vanilla (one batched forward per token), below it the
+    manager's BEG-MAB selector picks the strategy and absorbs the
+    cycle's *measured* accept lengths — the algorithmic counterpart of
+    the paper's Figure 14 dynamics.
+
+    Finished responses are fed back into model-free (non-trainable)
+    drafters' retrieval databases after every batch.
 
     Args:
         drafter: the draft model (learned or model-free); shared across
             steps so spot training between steps improves later rollouts.
-        strategy: SD configuration.
+        strategy: static SD configuration; None selects adaptive SD.
+        manager: adaptive SD manager to drive (reuse one to keep bandit
+            state across rollouts — the non-stationary setting BEG-MAB
+            targets); a default-configured one is built when both it and
+            ``strategy`` are omitted.
         child_mode: tree child expansion mode (``sample`` = lossless).
-        feed_ngram: when True, finished responses are fed back into the
-            drafter's retrieval database (model-free drafters).
+        max_batch_size: live-slot capacity of the scheduler.
     """
 
     name = "speculative"
@@ -160,108 +130,50 @@ class SpeculativeRollout(DraftedRolloutBackend):
     def __init__(
         self,
         drafter: Drafter,
-        strategy: SdStrategy,
-        child_mode: str = "sample",
-        feed_ngram: bool = True,
-        max_batch_size: Optional[int] = None,
-    ) -> None:
-        self.drafter = drafter
-        self.strategy = strategy
-        self.child_mode = child_mode
-        self.feed_ngram = feed_ngram
-        self.max_batch_size = max_batch_size
-
-    def generate(self, policy, prompts, max_new_tokens, temperature, rng):
-        out = speculative_generate(
-            policy,
-            self.drafter,
-            prompts,
-            max_new_tokens,
-            temperature,
-            rng,
-            strategy=self.strategy,
-            child_mode=self.child_mode,  # type: ignore[arg-type]
-            max_batch_size=self.max_batch_size,
-        )
-        if self.feed_ngram and not self.drafter.trainable:
-            self.drafter.observe_rollouts(out.responses)
-        metrics = out.metrics
-        return RolloutResult(
-            prompts=out.prompts,
-            responses=out.responses,
-            finished=out.finished,
-            target_steps=out.target_steps,
-            stats={
-                "accept_length": metrics.mean_accept_length,
-                "cycles": float(metrics.num_cycles),
-                "draft_efficiency": metrics.draft_efficiency,
-            },
-        )
-
-
-class AdaptiveSpeculativeRollout(DraftedRolloutBackend):
-    """Continuous-batching rollout with elastic adaptive SD (full TLT).
-
-    The engine reports its live-batch size to the manager every cycle:
-    above the elastic activation threshold the batch decodes vanilla (one
-    batched forward per token), below it the manager's BEG-MAB selector
-    picks the strategy and absorbs the cycle's *measured* accept lengths
-    — the algorithmic counterpart of the paper's Figure 14 dynamics.
-
-    Args:
-        drafter: the draft model (shared across steps so spot training
-            between steps improves later rollouts).
-        sd_config: adaptive-manager configuration (threshold, strategy
-            pool, selector); a default manager is built from it when
-            ``manager`` is omitted.
-        manager: pre-built manager to reuse (keeps bandit state across
-            rollouts — the non-stationary setting BEG-MAB targets).
-        child_mode: tree child expansion mode (``sample`` = lossless).
-        use_tree: tree-based drafting (default) or linear chains.
-        max_batch_size: live-slot capacity of the scheduler.
-        feed_ngram: feed finished responses back into retrieval drafters.
-    """
-
-    name = "adaptive-speculative"
-
-    def __init__(
-        self,
-        drafter: Drafter,
-        sd_config: Optional[AdaptiveSdConfig] = None,
+        strategy: Optional[SdStrategy] = None,
         manager: Optional[AdaptiveSdManager] = None,
         child_mode: str = "sample",
-        use_tree: bool = True,
         max_batch_size: Optional[int] = None,
-        feed_ngram: bool = True,
     ) -> None:
+        if strategy is None and manager is None:
+            manager = AdaptiveSdManager(AdaptiveSdConfig())
         self.drafter = drafter
-        self.manager = manager or AdaptiveSdManager(
-            sd_config or AdaptiveSdConfig()
-        )
+        self.strategy = strategy
+        self.manager = manager
         self.child_mode = child_mode
-        self.use_tree = use_tree
         self.max_batch_size = max_batch_size
-        self.feed_ngram = feed_ngram
+
+    def swap_drafter(self, drafter: Drafter) -> None:
+        """Adopt refreshed drafter weights for subsequent rollouts.
+
+        The spot trainer publishes a snapshot between RL steps
+        (:meth:`repro.spot.trainer.SpotTrainer.snapshot_drafter`) and
+        the next ``generate`` call speculates with it.
+        """
+        self.drafter = drafter
 
     def generate(self, policy, prompts, max_new_tokens, temperature, rng):
         engine = BatchedSpecDecodeEngine(
             policy,
             self.drafter,
-            strategy=None,
+            strategy=self.strategy,
             temperature=temperature,
             child_mode=self.child_mode,  # type: ignore[arg-type]
-            use_tree=self.use_tree,
             max_batch_size=self.max_batch_size,
             sd_manager=self.manager,
         )
-        activations_before = self.manager.activations
+        manager = self.manager
+        activations_before = manager.activations if manager else 0
         result = engine.generate(prompts, max_new_tokens, rng)
-        responses = [slot.response for slot in result.slots]
-        if self.feed_ngram and not self.drafter.trainable:
+        slots = result.slots
+        responses = [slot.response for slot in slots]
+        if not self.drafter.trainable:
             self.drafter.observe_rollouts(responses)
         metrics = result.metrics
-        return result_from_slots(
-            result.slots,
+        return RolloutResult(
+            prompts=[slot.request.prompt for slot in slots],
+            responses=responses,
+            finished=[slot.done for slot in slots],
             target_steps=result.target_steps,
             stats={
                 "accept_length": metrics.mean_accept_length,
@@ -271,7 +183,8 @@ class AdaptiveSpeculativeRollout(DraftedRolloutBackend):
                 "vanilla_cycles": float(result.vanilla_cycles),
                 "max_live_batch": float(result.max_live_batch),
                 "sd_activations": float(
-                    self.manager.activations - activations_before
+                    manager.activations - activations_before
+                    if manager else 0
                 ),
             },
         )

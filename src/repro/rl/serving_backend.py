@@ -1,13 +1,13 @@
-"""RL rollouts as BATCH-class traffic on the shared serving pool.
+"""The closed loop: RL rollouts on the shared serving pool + drafter refresh.
 
 The paper's bubble argument applied to serving (the ROADMAP's
 closed-loop item): long-tail decoding leaves pool capacity idle, and RL
 rollout traffic — throughput-oriented, deadline-free — is exactly the
-workload that can soak it.  :class:`ServingRolloutBackend` closes that
-loop from the trainer's side: one :meth:`~ServingRolloutBackend.generate`
-call round-trips a GRPO rollout batch through a live
-:class:`~repro.serving.frontend.ServingEngine` as BATCH-class requests
-on the *same* workers that serve online traffic.
+workload that can soak it.  The trainer's side of that loop is the
+serving-pool rollout backend,
+:class:`~repro.longtail.scheduler.RolloutScheduler`: each rollout batch
+rides a live :class:`~repro.serving.frontend.ServingEngine` as
+BATCH-class requests on the *same* workers that serve online traffic.
 
 What makes co-location safe is the stack underneath:
 
@@ -22,7 +22,7 @@ What makes co-location safe is the stack underneath:
   idle capacity costs interactive traffic (almost) nothing;
 * grouped prompts share a GRPO group tag
   (:attr:`~repro.serving.request.ServingRequest.group`), the admission
-  hook for group affinity and, later, prefix-cache-aware admission.
+  hook for group affinity and prefix-cache-aware admission.
 
 :class:`ColocatedLoop` adds the other half of the closed loop: after
 each RL step the spot trainer ingests the finished rollouts, refreshes
@@ -33,266 +33,19 @@ pool → rollouts → trainer.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
 from repro.drafter.base import Drafter
 from repro.drafter.training import collect_training_sequences
-from repro.errors import ConfigError, ServingError
-from repro.llm.vocab import BOS_ID, EOS_ID
-from repro.rl.rollout_backends import (
-    DraftedRolloutBackend,
-    RolloutResult,
-)
+from repro.errors import ConfigError
 from repro.serving.frontend import ServingEngine
-from repro.serving.request import (
-    BATCH,
-    RESOLVED_STATES,
-    ServingRequest,
-    SloClass,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.llm.model import TinyLM
     from repro.rl.trainer import RlStepReport, RlTrainer
     from repro.serving.metrics import ServingReport
     from repro.spot.trainer import SpotTrainer
-
-
-def group_tags(
-    prompts: Sequence[Sequence[int]],
-    group_size: Optional[int] = None,
-) -> List[int]:
-    """Group indices for a GRPO-expanded prompt list.
-
-    GRPO expands each distinct prompt ``group_size`` times in
-    group-major order (:meth:`~repro.workload.prompts.PromptBatch.
-    expanded`).  When ``group_size`` is given the tags are exact chunk
-    ordinals; when omitted, runs of identical consecutive prompts are
-    taken as the groups — correct unless two *adjacent* groups sampled
-    the same prompt, in which case they merge (pass the real shape
-    when you have it).
-    """
-    if group_size is not None:
-        if group_size < 1:
-            raise ConfigError(
-                f"group_size must be >= 1, got {group_size}"
-            )
-        if len(prompts) % group_size != 0:
-            raise ConfigError(
-                f"{len(prompts)} prompts do not split into groups "
-                f"of {group_size}"
-            )
-        return [index // group_size for index in range(len(prompts))]
-    tags: List[int] = []
-    tag = 0
-    for index, prompt in enumerate(prompts):
-        if index > 0 and list(prompt) != list(prompts[index - 1]):
-            tag += 1
-        tags.append(tag)
-    return tags
-
-
-class ServingRolloutBackend(DraftedRolloutBackend):
-    """Rollout backend that rides a shared online serving pool.
-
-    Instead of spinning up a private engine per rollout batch (what
-    :class:`~repro.rl.rollout_backends.AdaptiveSpeculativeRollout`
-    does), rollout prompts are submitted to a live
-    :class:`~repro.serving.frontend.ServingEngine` as BATCH-class
-    requests — grouped, tagged, and seeded — and the pool is ticked
-    until they all finish.  Interactive traffic already submitted to
-    the pool keeps being served during those ticks; the preemption
-    policy decides who waits.
-
-    A note on launch accounting: the returned ``target_steps`` is the
-    POOL-WIDE launch delta over the rollout window — decode cycles
-    spent on interactive neighbours during co-location are included,
-    because they genuinely share the batched forwards the rollouts
-    ride.  It is what the pool spent while the batch was in flight,
-    not a per-request attribution; do not compare it 1:1 against the
-    private-engine backends
-    (:class:`~repro.rl.rollout_backends.AdaptiveSpeculativeRollout`),
-    whose launches serve rollouts alone.  The same number is exposed
-    as ``stats["pool_target_steps"]`` to make the provenance explicit.
-
-    Args:
-        engine: the shared serving pool.  Its target model must be the
-            *same object* as the policy the trainer mutates, so RL
-            updates are visible to the pool without weight shipping,
-            and its temperature must match the trainer's rollout
-            temperature (both are validated per call).
-        slo: SLO class rollout requests are submitted under (BATCH —
-            preemptible background traffic — unless testing says
-            otherwise).
-        group_size: GRPO group size for exact group tagging; when
-            omitted, groups are inferred from identical consecutive
-            prompts (see :func:`group_tags`).
-        max_ticks: safety bound on pool ticks per rollout batch.
-    """
-
-    name = "serving-pool"
-
-    def __init__(
-        self,
-        engine: ServingEngine,
-        slo: SloClass = BATCH,
-        group_size: Optional[int] = None,
-        max_ticks: int = 1_000_000,
-    ) -> None:
-        if slo.deadline is not None:
-            raise ConfigError(
-                "rollout requests must not carry a deadline: an "
-                "expired rollout would silently corrupt the GRPO group"
-            )
-        if group_size is not None and group_size < 1:
-            raise ConfigError(
-                f"group_size must be >= 1, got {group_size}"
-            )
-        if max_ticks < 1:
-            raise ConfigError(f"max_ticks must be >= 1, got {max_ticks}")
-        self.engine = engine
-        self.slo = slo
-        self.group_size = group_size
-        self.max_ticks = max_ticks
-
-    @property
-    def drafter(self) -> Drafter:  # type: ignore[override]
-        """The pool's current drafter (worker 0's view of the roll)."""
-        return self.engine.workers[0].engine.drafter
-
-    def swap_drafter(self, drafter: Drafter) -> None:
-        """Roll refreshed drafter weights across the shared pool.
-
-        Unlike the per-batch backends (which just swap an attribute),
-        the pool deploys with zero downtime: one worker per tick, each
-        at its own cycle boundary, in-flight interactive requests and
-        parked rollouts untouched.
-        """
-        self.engine.swap_drafter(drafter)
-
-    def generate(
-        self,
-        policy: "TinyLM",
-        prompts: Sequence[Sequence[int]],
-        max_new_tokens: int,
-        temperature: float,
-        rng: np.random.Generator,
-    ) -> RolloutResult:
-        engine = self.engine
-        served = engine.workers[0].engine
-        if served.target is not policy:
-            raise ConfigError(
-                "the serving pool must serve the policy being trained "
-                "(same object), so in-place RL updates reach every "
-                "worker; build the pool over the trainer's policy"
-            )
-        if served.temperature != temperature:
-            raise ConfigError(
-                f"pool temperature {served.temperature} != rollout "
-                f"temperature {temperature}; rollouts would be sampled "
-                "off-distribution"
-            )
-        seeds = rng.integers(
-            0, np.iinfo(np.int64).max, size=len(prompts)
-        )
-        ids = engine.allocate_request_ids(len(prompts))
-        tags = group_tags(prompts, self.group_size)
-        now = engine.clock.now
-        for prompt, seed, request_id, tag in zip(
-            prompts, seeds, ids, tags
-        ):
-            engine.submit(
-                ServingRequest(
-                    request_id=request_id,
-                    prompt=[int(t) for t in prompt],
-                    max_new_tokens=max_new_tokens,
-                    arrival_time=now,
-                    slo=self.slo,
-                    predicted_length=max_new_tokens,
-                    seed=int(seed),
-                    group=ids.start + tag,
-                )
-            )
-        steps_before = sum(
-            w.engine.target_steps for w in engine.workers
-        )
-        prefill_before = sum(
-            w.engine.prefill_launches for w in engine.workers
-        )
-        saved_before = sum(
-            w.engine.prefill_launches_saved for w in engine.workers
-        )
-        ticks = 0
-        while any(
-            engine.records[i].state not in RESOLVED_STATES for i in ids
-        ):
-            if ticks >= self.max_ticks:
-                raise ServingError(
-                    f"rollout batch did not drain within "
-                    f"{self.max_ticks} pool ticks"
-                )
-            engine.tick()
-            ticks += 1
-
-        records = [engine.records[i] for i in ids]
-        dead = [r.request.request_id for r in records if not r.finished]
-        if dead:
-            raise ServingError(
-                f"rollout requests {dead} were cancelled or expired "
-                "mid-batch; the GRPO group is incomplete"
-            )
-        prompts_decoded = [
-            ([BOS_ID] + list(r.request.prompt))
-            if engine.add_bos else list(r.request.prompt)
-            for r in records
-        ]
-        responses = [list(r.response) for r in records]
-        pool_steps = (
-            sum(w.engine.target_steps for w in engine.workers)
-            - steps_before
-        )
-        return RolloutResult(
-            prompts=prompts_decoded,
-            responses=responses,
-            # EOS is only ever committed as the final token, so the
-            # tail token is exactly the engine's slot.done flag.
-            finished=[
-                bool(r) and r[-1] == EOS_ID for r in responses
-            ],
-            target_steps=pool_steps,
-            stats={
-                "pool_target_steps": float(pool_steps),
-                "pool_ticks": float(ticks),
-                "preemptions": float(
-                    sum(r.preemptions for r in records)
-                ),
-                "stolen": float(sum(r.stolen for r in records)),
-                "rollout_tokens": float(
-                    sum(len(r) for r in responses)
-                ),
-                # Pool-wide prefill accounting over the rollout window
-                # (same provenance caveat as pool_target_steps):
-                # grouped rollouts share prompts by construction, so
-                # with a prefix cache + prefix-aware admission most of
-                # a group's prefill launches show up as saved.
-                "prefill_launches": float(
-                    sum(
-                        w.engine.prefill_launches
-                        for w in engine.workers
-                    )
-                    - prefill_before
-                ),
-                "prefill_launches_saved": float(
-                    sum(
-                        w.engine.prefill_launches_saved
-                        for w in engine.workers
-                    )
-                    - saved_before
-                ),
-            },
-        )
 
 
 class ColocatedLoop:
@@ -302,7 +55,8 @@ class ColocatedLoop:
     live serving pool:
 
     1. the trainer's rollout batch rides the pool as BATCH traffic
-       (:class:`ServingRolloutBackend`), preempted and resumed around
+       (:class:`~repro.longtail.scheduler.RolloutScheduler`), preempted
+       and resumed around
        whatever interactive load the pool is carrying;
     2. finished rollouts feed the spot trainer's DataBuffer and a
        training slice runs in the long-tail bubble;
@@ -313,7 +67,8 @@ class ColocatedLoop:
     Args:
         frontend: the shared serving pool.
         trainer: the RL trainer, built over a
-            :class:`ServingRolloutBackend` on ``frontend``.
+            :class:`~repro.longtail.scheduler.RolloutScheduler` on
+            ``frontend`` (either mode).
         spot: optional spot drafter trainer; omitted = no refresh
             (TLT-Base-style loop).
         publish: how to deploy a refreshed drafter; defaults to
@@ -334,7 +89,10 @@ class ColocatedLoop:
         spot_updates_per_round: int = 20,
         spot_rng: Optional[np.random.Generator] = None,
     ) -> None:
-        if not isinstance(trainer.backend, ServingRolloutBackend):
+        # Imported here: repro.longtail builds on repro.rl.
+        from repro.longtail.scheduler import RolloutScheduler
+
+        if not isinstance(trainer.backend, RolloutScheduler):
             raise ConfigError(
                 "ColocatedLoop needs a trainer whose backend rides the "
                 f"shared pool; got {type(trainer.backend).__name__}"

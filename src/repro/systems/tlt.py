@@ -10,10 +10,14 @@ optimizer offloading the paper measures.
 Each system carries its rollout policy in two interchangeable forms: the
 roofline-calibrated cluster simulator (:meth:`~RlSystem.simulate_step`)
 and, via :meth:`rollout_backend`, the *algorithmic* continuous-batching
-engine — an :class:`~repro.rl.rollout_backends.AdaptiveSpeculativeRollout`
-built from the same :class:`~repro.rollout.adaptive.AdaptiveSdConfig`, so
-the elastic threshold and strategy pool that shape the simulated timeline
-also drive real batched token generation on the TinyLM substrate.
+engine — a :class:`~repro.rl.rollout_backends.SpeculativeRollout` driven
+by an :class:`~repro.rollout.adaptive.AdaptiveSdManager` built from the
+same :class:`~repro.rollout.adaptive.AdaptiveSdConfig`, so the elastic
+threshold and strategy pool that shape the simulated timeline also drive
+real batched token generation on the TinyLM substrate.
+:meth:`~_AdaptiveSdSystem.colocated_system` runs the same policy's
+rollouts on a shared serving pool instead, through a FIFO
+:class:`~repro.longtail.scheduler.RolloutScheduler`.
 """
 
 from __future__ import annotations
@@ -41,8 +45,9 @@ from repro.fleet.engine import FleetEngine
 from repro.fleet.router import RoutingPolicy
 from repro.hardware.gpus import ModelSpec
 from repro.llm.model import TinyLM
-from repro.rl.rollout_backends import AdaptiveSpeculativeRollout
-from repro.rl.serving_backend import ColocatedLoop, ServingRolloutBackend
+from repro.longtail.scheduler import RolloutScheduler, SchedulerMode
+from repro.rl.rollout_backends import SpeculativeRollout
+from repro.rl.serving_backend import ColocatedLoop
 from repro.serving.dispatch import (
     DispatchPolicy,
     PreemptionPolicy,
@@ -73,7 +78,7 @@ class _AdaptiveSdSystem(RlSystem):
         child_mode: str = "sample",
         max_batch_size: Optional[int] = None,
         manager: Optional[AdaptiveSdManager] = None,
-    ) -> AdaptiveSpeculativeRollout:
+    ) -> SpeculativeRollout:
         """Algorithmic rollout backend mirroring this system's SD policy.
 
         The returned backend runs the batched continuous-batching engine
@@ -92,10 +97,12 @@ class _AdaptiveSdSystem(RlSystem):
                 RL steps); one is built from ``self.sd_config`` when
                 omitted.
         """
-        return AdaptiveSpeculativeRollout(
+        return SpeculativeRollout(
             drafter,
-            sd_config=self.sd_config,
-            manager=manager,
+            manager=(
+                manager if manager is not None
+                else AdaptiveSdManager(self.sd_config)
+            ),
             child_mode=child_mode,
             max_batch_size=max_batch_size,
         )
@@ -352,7 +359,10 @@ class _AdaptiveSdSystem(RlSystem):
 
         The ROADMAP's north-star scenario: ONE worker pool serves
         online traffic *and* generates the trainer's GRPO rollouts.
-        Rollout groups enter as group-tagged BATCH requests, the
+        The trainer's backend is a FIFO-mode
+        :class:`~repro.longtail.scheduler.RolloutScheduler` on the
+        pool: rollout groups enter whole as group-tagged BATCH
+        requests, the
         :class:`~repro.serving.dispatch.SloPreemption` policy (the
         default) parks them byte-identically whenever interactive
         arrivals need slots, and — when a spot trainer is attached —
@@ -418,8 +428,10 @@ class _AdaptiveSdSystem(RlSystem):
             admission=admission,
             kv_cache_tokens=kv_cache_tokens,
         )
-        backend = ServingRolloutBackend(
-            frontend, group_size=rl_config.group_size
+        backend = RolloutScheduler(
+            frontend,
+            mode=SchedulerMode.FIFO,
+            group_size=rl_config.group_size,
         )
         trainer = RlTrainer(
             policy,

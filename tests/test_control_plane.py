@@ -765,9 +765,9 @@ class TestRolloutBackendSwap:
     def test_adaptive_backend_adopts_published_drafter(
         self, target, trained_drafter, untrained_drafter
     ):
-        from repro.rl import AdaptiveSpeculativeRollout
+        from repro.rl import SpeculativeRollout
 
-        backend = AdaptiveSpeculativeRollout(untrained_drafter)
+        backend = SpeculativeRollout(untrained_drafter)
         backend.swap_drafter(trained_drafter)
         assert backend.drafter is trained_drafter
         out = backend.generate(

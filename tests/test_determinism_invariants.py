@@ -428,7 +428,7 @@ class TestServingScheduleInvariance:
         """The serving rollout backend returns byte-identical rollouts
         from a 1-worker and a 2-worker pool (the co-location
         guarantee in miniature)."""
-        from repro.rl import ServingRolloutBackend
+        from repro.longtail import RolloutScheduler, SchedulerMode
 
         scenario = scenario_factory(16, num_requests=4)
         prompts = [scenario.prompts[0]] * 2 + [scenario.prompts[1]] * 2
@@ -440,7 +440,9 @@ class TestServingScheduleInvariance:
                 strategy=scenario.strategy,
                 temperature=scenario.temperature, max_batch_size=1,
             )
-            backend = ServingRolloutBackend(frontend)
+            backend = RolloutScheduler(
+                frontend, mode=SchedulerMode.FIFO
+            )
             return backend.generate(
                 scenario.target, prompts, 8,
                 scenario.temperature, np.random.default_rng(3),

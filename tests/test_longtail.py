@@ -6,9 +6,7 @@ Three contracts under test:
   online estimator — family learning, prior/cap fallback, and
   calibration scored strictly before each update (no peeking);
 * the :class:`~repro.longtail.scheduler.RolloutScheduler` only ever
-  reorders *work*: FIFO mode reproduces
-  :class:`~repro.rl.serving_backend.ServingRolloutBackend`
-  byte-for-byte, tail-first pipelined mode reproduces FIFO
+  reorders *work*: tail-first pipelined mode reproduces FIFO
   byte-for-byte, and the trainer seam
   (:meth:`~repro.rl.trainer.RlTrainer.step` with an injected rollout)
   reproduces the in-line step exactly at ``lookahead=0``;
@@ -32,17 +30,12 @@ from repro.longtail import (
     SchedulerMode,
     run_pipelined_steps,
 )
-from repro.rl import (
-    RlConfig,
-    RlTrainer,
-    ServingRolloutBackend,
-)
+from repro.rl import RlConfig, RlTrainer
 from repro.serving import (
     SegmentAffinityDispatch,
     ServingEngine,
 )
 from repro.serving.metrics import ServingReport
-from repro.serving.request import SloClass
 from repro.workload import (
     LognormalLengths,
     SuccessorChainTask,
@@ -184,11 +177,8 @@ def _grpo_prompts(scenario, groups=2, group_size=2):
 
 
 class TestSchedulerValidation:
-    def test_rejects_deadlined_slo(self, scenario_factory):
+    def test_rejects_bad_shape(self, scenario_factory):
         frontend = _frontend(scenario_factory(70))
-        deadlined = SloClass("rollout", 8.0, 96.0, deadline=10.0)
-        with pytest.raises(ConfigError):
-            RolloutScheduler(frontend, slo=deadlined)
         with pytest.raises(ConfigError):
             RolloutScheduler(frontend, group_size=0)
         with pytest.raises(ConfigError):
@@ -231,34 +221,39 @@ class TestSchedulerValidation:
         with pytest.raises(SchedulingError):
             scheduler.collect(batch_id)  # already delivered
 
-
-class TestFifoEquivalence:
-    def test_matches_serving_backend_byte_for_byte(
-        self, scenario_factory
-    ):
-        """FIFO mode is the whole-group baseline: same seeds, same
-        ids, same responses as ServingRolloutBackend."""
+    @pytest.mark.parametrize(
+        "mode", [SchedulerMode.FIFO, SchedulerMode.TAIL_FIRST]
+    )
+    def test_state_stays_bounded(self, scenario_factory, mode):
+        """Collected batches leave no bookkeeping behind, so a long RL
+        run neither keeps old prompts alive nor pays per-release for
+        every batch it ever submitted."""
         scenario = scenario_factory(73)
-        prompts = _grpo_prompts(scenario, groups=2, group_size=2)
-
-        backend = ServingRolloutBackend(_frontend(scenario))
-        reference = backend.generate(
-            scenario.target, prompts, 6, scenario.temperature,
-            np.random.default_rng(9),
-        )
-
         scheduler = RolloutScheduler(
-            _frontend(scenario), mode=SchedulerMode.FIFO
+            _frontend(scenario, max_batch_size=1), mode=mode
         )
-        batch_id = scheduler.submit_batch(
-            scenario.target, prompts, 6, scenario.temperature,
-            np.random.default_rng(9),
-        )
-        result = scheduler.collect(batch_id)
-
-        assert result.responses == reference.responses
-        assert result.prompts == reference.prompts
-        assert result.finished == reference.finished
+        rng = np.random.default_rng(9)
+        prompts = _grpo_prompts(scenario, groups=3, group_size=2)
+        for _ in range(12):
+            ids = [
+                scheduler.submit_batch(
+                    scenario.target, prompts, 3,
+                    scenario.temperature, rng,
+                )
+                for _ in range(2)
+            ]
+            assert scheduler.pending_batches == ids
+            for batch_id in ids:
+                scheduler.collect(batch_id)
+            assert scheduler.pending_batches == []
+            assert not scheduler._batches
+            assert not scheduler._staged
+            assert not scheduler._staged_ids
+        assert scheduler.stats.batches_collected == 24
+        with pytest.raises(SchedulingError):
+            scheduler.collect(ids[0])  # already delivered
+        with pytest.raises(SchedulingError):
+            scheduler.collect(24)  # never submitted
 
 
 class TestByteIdentity:
@@ -453,7 +448,9 @@ class TestTrainerSeam:
         view_a = _PoolScenario(scenario, policy_a)
         trainer_a = _trainer(
             scenario, policy_a,
-            backend=ServingRolloutBackend(_frontend(view_a)),
+            backend=RolloutScheduler(
+                _frontend(view_a), mode=SchedulerMode.FIFO
+            ),
         )
         inline = [trainer_a.step() for _ in range(2)]
 

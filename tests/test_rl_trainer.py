@@ -144,21 +144,25 @@ class TestTrainerMechanics:
 
 class TestSpeculativeBackend:
     def test_sd_backend_runs_and_reports(self):
-        policy = make_policy()
-        drafter = EagleDrafter(
-            policy, EagleDrafterConfig(), np.random.default_rng(3)
-        )
-        backend = SpeculativeRollout(
-            drafter,
-            SdStrategy(draft_depth=3, topk=2, tokens_to_verify=6),
-        )
-        trainer = RlTrainer(
-            policy, make_task(), small_config(num_prompts=2, group_size=4),
-            backend=backend, rng=np.random.default_rng(0),
-        )
-        report = trainer.step()
-        assert "accept_length" in report.rollout_stats
-        assert report.rollout_stats["accept_length"] >= 1.0
+        # A static strategy, and the default elastic manager (8 live
+        # sequences sit below its activation threshold).
+        for strategy in (
+            SdStrategy(draft_depth=3, topk=2, tokens_to_verify=6), None
+        ):
+            policy = make_policy()
+            drafter = EagleDrafter(
+                policy, EagleDrafterConfig(), np.random.default_rng(3)
+            )
+            backend = SpeculativeRollout(drafter, strategy)
+            trainer = RlTrainer(
+                policy, make_task(),
+                small_config(num_prompts=2, group_size=4),
+                backend=backend, rng=np.random.default_rng(0),
+            )
+            report = trainer.step()
+            assert "accept_length" in report.rollout_stats
+            assert report.rollout_stats["accept_length"] >= 1.0
+            assert report.rollout_stats["sd_cycles"] > 0
 
     def test_sd_and_vanilla_learning_curves_similar(self):
         """Figure 12's claim at miniature scale: same-seed prompt streams

@@ -1,8 +1,9 @@
 """Tests for the serving-pool rollout backend and the co-located loop.
 
 The tentpole of the closed serving <-> RL integration:
-:class:`~repro.rl.serving_backend.ServingRolloutBackend` round-trips
-GRPO rollout groups through a shared :class:`~repro.serving.frontend.
+:class:`~repro.longtail.scheduler.RolloutScheduler` (as a
+:class:`~repro.rl.rollout_backends.RolloutBackend`) round-trips GRPO
+rollout groups through a shared :class:`~repro.serving.frontend.
 ServingEngine` as BATCH-class traffic, and
 :class:`~repro.rl.serving_backend.ColocatedLoop` /
 :meth:`~repro.systems.tlt.TltSystem.colocated_system` close the loop
@@ -19,13 +20,8 @@ from repro.drafter import DrafterTrainer, DrafterTrainingConfig
 from repro.errors import ConfigError, ServingError
 from repro.hardware import get_gpu, get_model
 from repro.llm.vocab import BOS_ID, Vocabulary
-from repro.rl import (
-    ColocatedLoop,
-    RlConfig,
-    RlTrainer,
-    ServingRolloutBackend,
-    group_tags,
-)
+from repro.longtail import RolloutScheduler, SchedulerMode, group_tags
+from repro.rl import ColocatedLoop, RlConfig, RlTrainer
 from repro.serving import (
     BATCH,
     INTERACTIVE,
@@ -45,6 +41,11 @@ def _frontend(scenario, num_workers=2, max_batch_size=2, **kwargs):
         strategy=scenario.strategy, temperature=scenario.temperature,
         max_batch_size=max_batch_size, **kwargs,
     )
+
+
+def _backend(frontend):
+    """The serving-pool backend: whole-group FIFO submission."""
+    return RolloutScheduler(frontend, mode=SchedulerMode.FIFO)
 
 
 class TestGroupTags:
@@ -71,37 +72,12 @@ class TestGroupTags:
 
 
 class TestServingRolloutBackend:
-    def test_validates_slo_policy_and_temperature(
-        self, scenario_factory
-    ):
-        from repro.serving.request import SloClass
-
-        scenario = scenario_factory(40)
-        frontend = _frontend(scenario)
-        deadlined = SloClass("rollout", 8.0, 96.0, deadline=10.0)
-        with pytest.raises(ConfigError):
-            ServingRolloutBackend(frontend, slo=deadlined)
-        with pytest.raises(ConfigError):
-            ServingRolloutBackend(frontend, max_ticks=0)
-        backend = ServingRolloutBackend(frontend)
-        other_policy = scenario.target.clone()
-        with pytest.raises(ConfigError):
-            backend.generate(
-                other_policy, [[5, 6]], 4, scenario.temperature,
-                np.random.default_rng(0),
-            )
-        with pytest.raises(ConfigError):
-            backend.generate(
-                scenario.target, [[5, 6]], 4,
-                scenario.temperature + 0.1, np.random.default_rng(0),
-            )
-
     def test_rollouts_ride_the_pool_as_batch_class(
         self, scenario_factory
     ):
         scenario = scenario_factory(41)
         frontend = _frontend(scenario)
-        backend = ServingRolloutBackend(frontend)
+        backend = _backend(frontend)
         prompts = [scenario.prompts[0]] * 2 + [scenario.prompts[1]] * 2
         result = backend.generate(
             scenario.target, prompts, 6, scenario.temperature,
@@ -132,7 +108,7 @@ class TestServingRolloutBackend:
     ):
         scenario = scenario_factory(42)
         frontend = _frontend(scenario)
-        backend = ServingRolloutBackend(frontend)
+        backend = _backend(frontend)
         rng = np.random.default_rng(2)
         backend.generate(
             scenario.target, [scenario.prompts[0]] * 2, 4,
@@ -162,7 +138,7 @@ class TestServingRolloutBackend:
         )
         for request in inter:
             frontend.submit(request)
-        backend = ServingRolloutBackend(frontend)
+        backend = _backend(frontend)
         prompts = [scenario.prompts[0]] * 4 + [scenario.prompts[1]] * 4
         result = backend.generate(
             scenario.target, prompts, 24, scenario.temperature,
@@ -184,12 +160,28 @@ class TestServingRolloutBackend:
         per_class = report.per_class()
         assert per_class["batch"]["utilization"] > 0.0
 
+    def test_swap_drafter_rolls_the_pool(
+        self, scenario_factory, untrained_drafter
+    ):
+        """The backend's drafter hand-off is the pool's rolling swap."""
+        scenario = scenario_factory(46)
+        frontend = _frontend(scenario)
+        backend = _backend(frontend)
+        assert backend.drafter is scenario.drafter
+        backend.swap_drafter(untrained_drafter)
+        frontend.tick()
+        frontend.tick()
+        assert frontend.drafter_swaps == 1
+        assert backend.drafter is untrained_drafter
+        for worker in frontend.workers:
+            assert worker.engine.drafter is untrained_drafter
+
     def test_cancelled_rollout_fails_loudly(self, scenario_factory):
         """A rollout killed mid-batch must not silently corrupt the
         GRPO group."""
         scenario = scenario_factory(44)
         frontend = _frontend(scenario, num_workers=1)
-        backend = ServingRolloutBackend(frontend)
+        backend = _backend(frontend)
 
         # Cancel one rollout as soon as it is submitted, from inside
         # the pool's own event loop (subscriber fires on dispatch).
@@ -216,7 +208,7 @@ class TestGroupAffinity:
             dispatch=RoundRobinDispatch(), group_affinity=True,
             work_stealing=False,
         )
-        backend = ServingRolloutBackend(frontend)
+        backend = _backend(frontend)
         prompts = (
             [scenario.prompts[0]] * 3 + [scenario.prompts[1]] * 3
         )
@@ -248,7 +240,7 @@ class TestGroupAffinity:
             dispatch=RoundRobinDispatch(), group_affinity=False,
             work_stealing=False,
         )
-        backend = ServingRolloutBackend(frontend)
+        backend = _backend(frontend)
         prompts = (
             [scenario.prompts[0]] * 3 + [scenario.prompts[1]] * 3
         )
@@ -371,6 +363,59 @@ class TestColocatedLoop:
         )
         with pytest.raises(ConfigError):
             ColocatedLoop(frontend, trainer)
+        # A serving-pool backend, but on another pool.
+        trainer.backend = _backend(_frontend(scenario))
+        with pytest.raises(ConfigError):
+            ColocatedLoop(frontend, trainer)
+
+    def test_tail_first_loop_matches_fifo(self, scenario_factory):
+        """Driving the closed loop tail-first reorders work only: every
+        round commits the FIFO loop's rollouts byte-for-byte and the
+        policy ends on identical weights."""
+        scenario = scenario_factory(53)
+
+        def run(mode):
+            policy = scenario.target.clone()
+            frontend = ServingEngine(
+                policy, scenario.drafter, num_workers=2,
+                strategy=scenario.strategy, temperature=0.9,
+                max_batch_size=1, preemption=SloPreemption(),
+            )
+            for request in scenario.serving_requests(
+                arrival_gap=2.0,
+                slos=[INTERACTIVE] * scenario.num_requests,
+            ):
+                frontend.submit(request)
+            vocab = Vocabulary(policy.config.vocab_size)
+            trainer = RlTrainer(
+                policy, SuccessorChainTask(vocab=vocab, target_pairs=4),
+                RlConfig(num_prompts=3, group_size=2, max_new_tokens=8,
+                         temperature=0.9, learning_rate=5e-3),
+                backend=RolloutScheduler(
+                    frontend, mode=mode, group_size=2
+                ),
+                rng=np.random.default_rng(0),
+            )
+            loop = ColocatedLoop(frontend, trainer)
+            responses = []
+            for _ in range(3):
+                loop.round()
+                responses.append(trainer.last_rollout.responses)
+            arrivals = {
+                r.request.arrival_time
+                for r in frontend.records.values()
+                if r.request.slo is BATCH
+            }
+            return responses, policy, len(arrivals)
+
+        fifo, fifo_policy, fifo_arrivals = run(SchedulerMode.FIFO)
+        tail, tail_policy, tail_arrivals = run(SchedulerMode.TAIL_FIRST)
+        assert tail == fifo
+        assert tail_policy.params.max_abs_diff(fifo_policy.params) == 0.0
+        # FIFO submits each round whole; tail-first held members back
+        # and released them into later headroom.
+        assert fifo_arrivals == 3
+        assert tail_arrivals > 3
 
     def test_trainer_learns_through_the_pool(
         self, scenario_factory, target
@@ -390,7 +435,7 @@ class TestColocatedLoop:
             policy, task,
             RlConfig(num_prompts=3, group_size=2, max_new_tokens=8,
                      temperature=0.9, learning_rate=5e-3),
-            backend=ServingRolloutBackend(frontend),
+            backend=_backend(frontend),
             rng=np.random.default_rng(0),
         )
         reports = trainer.run(2)

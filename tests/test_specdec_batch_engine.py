@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SpecDecodeError
-from repro.rl import AdaptiveSpeculativeRollout
+from repro.rl import SpeculativeRollout
 from repro.rollout import AdaptiveSdConfig, AdaptiveSdManager
 from repro.specdec import (
     BatchedSpecDecodeEngine,
@@ -273,11 +273,13 @@ class TestAdaptiveIntegration:
     def test_reused_manager_reports_per_rollout_activations(
         self, target, trained_drafter
     ):
-        backend = AdaptiveSpeculativeRollout(
+        backend = SpeculativeRollout(
             trained_drafter,
-            sd_config=AdaptiveSdConfig(
-                strategies=[SdStrategy(3, 2, 6)],
-                activation_threshold=4,
+            manager=AdaptiveSdManager(
+                AdaptiveSdConfig(
+                    strategies=[SdStrategy(3, 2, 6)],
+                    activation_threshold=4,
+                )
             ),
         )
         for seed in (3, 4):
@@ -288,20 +290,29 @@ class TestAdaptiveIntegration:
         assert backend.manager.activations == 2
 
     def test_adaptive_backend_stats(self, target, trained_drafter):
-        backend = AdaptiveSpeculativeRollout(
+        """Both strategy sources report the same stats superset: an
+        elastic manager activates SD once the batch drains below its
+        threshold; a static strategy speculates every cycle."""
+        strategy = SdStrategy(3, 2, 6)
+        adaptive = SpeculativeRollout(
             trained_drafter,
-            sd_config=AdaptiveSdConfig(
-                strategies=[SdStrategy(3, 2, 6)],
-                activation_threshold=4,
+            manager=AdaptiveSdManager(
+                AdaptiveSdConfig(
+                    strategies=[strategy], activation_threshold=4
+                )
             ),
         )
-        out = backend.generate(
-            target, PROMPTS, 30, 0.9, np.random.default_rng(9)
-        )
-        assert len(out.responses) == len(PROMPTS)
-        assert out.stats["sd_activations"] == 1.0
-        assert out.stats["max_live_batch"] == float(len(PROMPTS))
-        assert (
-            out.stats["sd_cycles"] + out.stats["vanilla_cycles"] > 0
-        )
-        assert out.target_steps > 0
+        static = SpeculativeRollout(trained_drafter, strategy)
+        for backend, activations in ((adaptive, 1.0), (static, 0.0)):
+            out = backend.generate(
+                target, PROMPTS, 30, 0.9, np.random.default_rng(9)
+            )
+            assert len(out.responses) == len(PROMPTS)
+            assert out.stats["sd_activations"] == activations
+            assert out.stats["max_live_batch"] == float(len(PROMPTS))
+            assert (
+                out.stats["sd_cycles"] + out.stats["vanilla_cycles"] > 0
+            )
+            assert out.stats["accept_length"] >= 1.0
+            assert out.target_steps > 0
+        assert out.stats["vanilla_cycles"] == 0.0
